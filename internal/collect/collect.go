@@ -233,9 +233,8 @@ func (s *Saver) saveBlock(b *msr.Block) error {
 	s.enc.PutUint32(uint32(ti))
 	s.enc.PutUint32(uint32(b.Count))
 	plan := s.ti.Plan(b.Type, s.mach)
-	es := b.Type.SizeOf(s.mach)
 	for elem := 0; elem < b.Count; elem++ {
-		if err := s.saveOps(plan.Ops, b.Addr+memory.Address(elem*es)); err != nil {
+		if err := s.saveOps(plan.Ops, b.Addr+memory.Address(elem*plan.Size)); err != nil {
 			return fmt.Errorf("collect: block %s element %d: %w", b.ID, elem, err)
 		}
 	}

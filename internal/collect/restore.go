@@ -194,9 +194,8 @@ func (r *Restorer) restoreBlock(id msr.BlockID) error {
 // fillContents decodes a block's content through its restoring plan.
 func (r *Restorer) fillContents(b *msr.Block) error {
 	plan := r.ti.Plan(b.Type, r.mach)
-	es := b.Type.SizeOf(r.mach)
 	for elem := 0; elem < b.Count; elem++ {
-		if err := r.restoreOps(plan.Ops, b.Addr+memory.Address(elem*es)); err != nil {
+		if err := r.restoreOps(plan.Ops, b.Addr+memory.Address(elem*plan.Size)); err != nil {
 			return fmt.Errorf("collect: restoring block %s element %d: %w", b.ID, elem, err)
 		}
 	}
@@ -209,8 +208,9 @@ func (r *Restorer) fillContents(b *msr.Block) error {
 // elements, so a forged count cannot force a huge allocation from a
 // small input.
 func (r *Restorer) allocHeapBlock(id msr.BlockID, ty *types.Type, count int) (*msr.Block, error) {
-	es := ty.SizeOf(r.mach)
-	if count <= 0 || es <= 0 {
+	// A zero-size type (void) has no plan, so it is refused before the
+	// plan lookup.
+	if es := ty.SizeOf(r.mach); count <= 0 || es <= 0 {
 		return nil, fmt.Errorf("%w: heap block %s declares %d elements of %d bytes",
 			ErrCorruptStream, id, count, es)
 	}
@@ -223,7 +223,7 @@ func (r *Restorer) allocHeapBlock(id msr.BlockID, ty *types.Type, count int) (*m
 		return nil, fmt.Errorf("%w: heap block %s declares %d elements but only %d bytes remain",
 			ErrCorruptStream, id, count, r.dec.Remaining())
 	}
-	addr, err := r.space.Malloc(count * es)
+	addr, err := r.space.Malloc(count * plan.Size)
 	if err != nil {
 		return nil, err
 	}

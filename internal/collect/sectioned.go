@@ -167,9 +167,8 @@ func (w *partitioner) visitBlock(b *msr.Block) error {
 		return fmt.Errorf("collect: block %s in unexpected segment", b.ID)
 	}
 	plan := w.ti.Plan(b.Type, w.mach)
-	es := b.Type.SizeOf(w.mach)
 	for elem := 0; elem < b.Count; elem++ {
-		if err := w.scanOps(b, plan.Ops, b.Addr+memory.Address(elem*es)); err != nil {
+		if err := w.scanOps(b, plan.Ops, b.Addr+memory.Address(elem*plan.Size)); err != nil {
 			return err
 		}
 	}
@@ -501,9 +500,8 @@ func (e *sectionEncoder) encodeBody(blocks []*msr.Block, live []memory.Address, 
 	for _, b := range blocks {
 		e.stats.Blocks++
 		plan := e.ti.Plan(b.Type, e.mach)
-		es := b.Type.SizeOf(e.mach)
 		for elem := 0; elem < b.Count; elem++ {
-			if err := e.encodeOps(plan.Ops, b.Addr+memory.Address(elem*es)); err != nil {
+			if err := e.encodeOps(plan.Ops, b.Addr+memory.Address(elem*plan.Size)); err != nil {
 				return fmt.Errorf("collect: block %s element %d: %w", b.ID, elem, err)
 			}
 		}

@@ -346,7 +346,8 @@ type Program struct {
 	// Funcs in declaration order.
 	Funcs []*FuncSymbol
 	// TI is the Type Information table for the program: every type any
-	// block can take, registered in deterministic order.
+	// block can take, registered in deterministic order and frozen when
+	// Check returns.
 	TI *types.TI
 
 	funcsByName map[string]*FuncSymbol

@@ -142,6 +142,9 @@ func Check(tree *ParseTree) (*Program, error) {
 	} else if len(main.Params) != 0 {
 		c.errorf(main.Pos, "main must take no parameters")
 	}
+	// Every type a block can have is registered by now; the table is
+	// fixed from here on, as in the paper's generated executable.
+	c.prog.TI.Freeze()
 	return c.prog, c.errs.Err()
 }
 

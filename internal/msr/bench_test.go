@@ -77,3 +77,56 @@ func BenchmarkResolve(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkResolveParallel translates pointers into a heap of linked-list
+// nodes from all procs at once, in both directions: the per-pointer work
+// of parallel section encoders (ResolveStats) and restore fills
+// (AddrOfStats). Each worker keeps its own counters, as they do. Neither
+// direction may allocate.
+func BenchmarkResolveParallel(b *testing.B) {
+	m := arch.SPARC20
+	node := types.NewStruct("node")
+	node.DefineFields([]types.Field{
+		{Name: "v", Type: types.Int},
+		{Name: "w", Type: types.Double},
+		{Name: "next", Type: types.PointerTo(node)},
+	})
+	sp := memory.NewSpace(m)
+	tbl := NewTable()
+	const n = 4096
+	addrs := make([]memory.Address, n)
+	for i := range addrs {
+		count := 1 + i%3
+		a, err := sp.Malloc(count * node.SizeOf(m))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := tbl.Register(&Block{ID: tbl.NextHeapID(), Addr: a, Type: node, Count: count}); err != nil {
+			b.Fatal(err)
+		}
+		// Alternate base pointers with pointers to a later element's
+		// next field.
+		addrs[i] = a
+		if i%2 == 1 {
+			addrs[i] += memory.Address((count-1)*node.SizeOf(m) + node.OffsetOf(m, 2))
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		var st Stats
+		i := 0
+		for pb.Next() {
+			addr := addrs[i%n]
+			ref, err := ResolveStats(tbl, m, addr, &st)
+			if err != nil {
+				b.Fatal(err)
+			}
+			back, err := AddrOfStats(tbl, m, ref, &st)
+			if err != nil || back != addr {
+				b.Fatalf("%#x resolved to %s and back to %#x (%v)", uint64(addr), ref, uint64(back), err)
+			}
+			i++
+		}
+	})
+}

@@ -55,10 +55,9 @@ func BuildGraph(sp Space, t *Table, ti *types.TI) (*Graph, error) {
 		if !plan.HasPtr {
 			continue
 		}
-		es := b.Type.SizeOf(m)
 		for elem := 0; elem < b.Count; elem++ {
-			base := b.Addr + memory.Address(elem*es)
-			if err := scanOps(sp, t, m, plan.Ops, base, b, elem*b.Type.ScalarCount(), g); err != nil {
+			base := b.Addr + memory.Address(elem*plan.Size)
+			if err := scanOps(sp, t, m, plan.Ops, base, b, elem*plan.NumScalars, g); err != nil {
 				return nil, err
 			}
 		}

@@ -43,7 +43,8 @@ func Resolve(t *Table, m *arch.Machine, addr memory.Address) (Ref, error) {
 
 // ResolveStats is Resolve with the MSRLT counters recorded into st, so
 // concurrent section encoders can translate pointers without racing on
-// the table's Stats (see Table.LookupStats).
+// the table's Stats (see Table.LookupStats). The block's geometry is read
+// once, from the type's published per-machine layout, without locking.
 func ResolveStats(t *Table, m *arch.Machine, addr memory.Address, st *Stats) (Ref, error) {
 	if addr == 0 {
 		return NullRef, nil
@@ -56,17 +57,23 @@ func ResolveStats(t *Table, m *arch.Machine, addr memory.Address, st *Stats) (Re
 	if es == 0 {
 		return Ref{}, fmt.Errorf("msr: block %s has zero-size element type %s", b.ID, b.Type)
 	}
-	if off == b.Count*es {
+	per := b.Type.ScalarCount()
+	elem, rest := off/es, off%es
+	if elem == b.Count {
 		// One past the end of the block.
-		return Ref{ID: b.ID, Ordinal: b.ScalarCount()}, nil
+		return Ref{ID: b.ID, Ordinal: b.Count * per}, nil
 	}
-	elem := off / es
-	within, ok := b.Type.OffsetToOrdinal(m, off%es)
-	if !ok {
-		return Ref{}, fmt.Errorf("msr: address %#x falls in padding of block %s (%s)",
-			uint64(addr), b.ID, b.Type)
+	// Byte 0 of an element is always its scalar 0, so only interior
+	// pointers need the offset-to-ordinal walk.
+	within := 0
+	if rest != 0 {
+		var ok bool
+		if within, ok = b.Type.OffsetToOrdinal(m, rest); !ok {
+			return Ref{}, fmt.Errorf("msr: address %#x falls in padding of block %s (%s)",
+				uint64(addr), b.ID, b.Type)
+		}
 	}
-	return Ref{ID: b.ID, Ordinal: elem*b.Type.ScalarCount() + within}, nil
+	return Ref{ID: b.ID, Ordinal: elem*per + within}, nil
 }
 
 // AddrOf translates a machine-independent reference back to a
@@ -93,7 +100,8 @@ func AddrOfStats(t *Table, m *arch.Machine, r Ref, st *Stats) (memory.Address, e
 // BlockAddr computes the address of the ordinal-th scalar of block b on
 // machine m. ordinal may equal the block's scalar count (one past the end).
 func BlockAddr(b *Block, m *arch.Machine, ordinal int) (memory.Address, error) {
-	total := b.ScalarCount()
+	per := b.Type.ScalarCount()
+	total := b.Count * per
 	if ordinal < 0 || ordinal > total {
 		return 0, fmt.Errorf("%w: %d of %d in %s", ErrBadOrdinal, ordinal, total, b.ID)
 	}
@@ -101,7 +109,11 @@ func BlockAddr(b *Block, m *arch.Machine, ordinal int) (memory.Address, error) {
 	if ordinal == total {
 		return b.Addr + memory.Address(b.Count*es), nil
 	}
-	per := b.Type.ScalarCount()
 	elem, within := ordinal/per, ordinal%per
-	return b.Addr + memory.Address(elem*es+b.Type.OrdinalToOffset(m, within)), nil
+	off := elem * es
+	if within != 0 { // scalar 0 of an element is at its byte 0
+
+		off += b.Type.OrdinalToOffset(m, within)
+	}
+	return b.Addr + memory.Address(off), nil
 }

@@ -36,6 +36,9 @@ type Plan struct {
 	Mach *arch.Machine
 	Ops  []PlanOp
 
+	// Size is the byte size of one element of Type on Mach: the stride
+	// between the elements of a block.
+	Size int
 	// NumScalars is the total scalar count covered (machine-independent).
 	NumScalars int
 	// HasPtr records whether any operation is a pointer run.
@@ -137,6 +140,7 @@ func NewPlan(t *Type, m *arch.Machine) *Plan {
 		Type:       t,
 		Mach:       m,
 		Ops:        ops,
+		Size:       t.SizeOf(m),
 		NumScalars: t.ScalarCount(),
 		HasPtr:     planHasPtr(ops),
 	}

@@ -5,6 +5,7 @@ import (
 	"hash/crc32"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/arch"
 )
@@ -20,32 +21,42 @@ import (
 // table from the same source program, and the indices agree. The Digest
 // lets the migration protocol verify that agreement before trusting the
 // stream.
+//
+// A table is filled by Add while the program is compiled and then frozen,
+// as the paper's table is fixed when the executable is generated. After
+// Freeze the type list never changes, so Index, At, Len and Plan read it
+// without locking, and Add panics.
 type TI struct {
-	mu    sync.Mutex
-	types []*Type
-	index map[*Type]int
-	plans map[planKey]*Plan
+	mu     sync.Mutex // serializes Add, Freeze and plan compilation
+	frozen bool       // guarded by mu
+	types  []*Type
+	index  map[*Type]int
+	// plans lists the per-machine plan tables. A published list is never
+	// modified: a new machine publishes a copy.
+	plans atomic.Pointer[[]*machinePlans]
 }
 
-type planKey struct {
-	t *Type
-	m *arch.Machine
+// machinePlans is one machine's plan table: plans[i] is the plan of the
+// type with index i, compiled on first use.
+type machinePlans struct {
+	m     *arch.Machine
+	plans []atomic.Pointer[Plan]
 }
 
 // NewTI returns an empty TI table.
 func NewTI() *TI {
-	return &TI{
-		index: make(map[*Type]int),
-		plans: make(map[planKey]*Plan),
-	}
+	return &TI{index: make(map[*Type]int)}
 }
 
 // Add registers t (and, transitively, every type reachable from it) and
 // returns its index. Adding an already-registered type is a no-op returning
-// the existing index.
+// the existing index. Add panics once the table is frozen.
 func (ti *TI) Add(t *Type) int {
 	ti.mu.Lock()
 	defer ti.mu.Unlock()
+	if ti.frozen {
+		panic(fmt.Sprintf("types: Add(%s) on a frozen TI table", t))
+	}
 	return ti.add(t)
 }
 
@@ -67,11 +78,18 @@ func (ti *TI) add(t *Type) int {
 	return i
 }
 
+// Freeze ends registration. The compiler freezes every program's table;
+// the first Plan call freezes a table built by hand, because plan tables
+// are sized by the final type list.
+func (ti *TI) Freeze() {
+	ti.mu.Lock()
+	ti.frozen = true
+	ti.mu.Unlock()
+}
+
 // Index returns the index of a registered type. The second result is false
 // if the type was never added.
 func (ti *TI) Index(t *Type) (int, bool) {
-	ti.mu.Lock()
-	defer ti.mu.Unlock()
 	i, ok := ti.index[t]
 	return i, ok
 }
@@ -89,8 +107,6 @@ func (ti *TI) MustIndex(t *Type) int {
 
 // At returns the type with the given index.
 func (ti *TI) At(i int) (*Type, error) {
-	ti.mu.Lock()
-	defer ti.mu.Unlock()
 	if i < 0 || i >= len(ti.types) {
 		return nil, fmt.Errorf("types: TI index %d out of range (table has %d)", i, len(ti.types))
 	}
@@ -98,25 +114,56 @@ func (ti *TI) At(i int) (*Type, error) {
 }
 
 // Len returns the number of registered types.
-func (ti *TI) Len() int {
-	ti.mu.Lock()
-	defer ti.mu.Unlock()
-	return len(ti.types)
-}
+func (ti *TI) Len() int { return len(ti.types) }
 
-// Plan returns the compiled saving/restoring plan for t on machine m,
-// compiling and caching it on first use. This is the paper's "memory block
-// saving and restoring function" generation step.
+// Plan returns the compiled saving/restoring plan for the registered type
+// t on machine m, compiling and caching it on first use. This is the
+// paper's "memory block saving and restoring function" generation step.
 func (ti *TI) Plan(t *Type, m *arch.Machine) *Plan {
-	ti.mu.Lock()
-	defer ti.mu.Unlock()
-	k := planKey{t, m}
-	if p, ok := ti.plans[k]; ok {
+	slot := &ti.machine(m).plans[ti.MustIndex(t)]
+	if p := slot.Load(); p != nil {
 		return p
 	}
-	p := NewPlan(t, m)
-	ti.plans[k] = p
-	return p
+	ti.mu.Lock()
+	defer ti.mu.Unlock()
+	if slot.Load() == nil {
+		slot.Store(NewPlan(t, m))
+	}
+	return slot.Load()
+}
+
+// machine returns m's plan table, publishing an empty one (and freezing
+// the TI) on first use.
+func (ti *TI) machine(m *arch.Machine) *machinePlans {
+	if mp := ti.published(m); mp != nil {
+		return mp
+	}
+	ti.mu.Lock()
+	defer ti.mu.Unlock()
+	if mp := ti.published(m); mp != nil {
+		return mp
+	}
+	ti.frozen = true
+	mp := &machinePlans{m: m, plans: make([]atomic.Pointer[Plan], len(ti.types))}
+	var next []*machinePlans
+	if old := ti.plans.Load(); old != nil {
+		next = append(next, *old...)
+	}
+	next = append(next, mp)
+	ti.plans.Store(&next)
+	return mp
+}
+
+// published returns m's plan table if it exists.
+func (ti *TI) published(m *arch.Machine) *machinePlans {
+	if tabs := ti.plans.Load(); tabs != nil {
+		for _, mp := range *tabs {
+			if mp.m == m {
+				return mp
+			}
+		}
+	}
+	return nil
 }
 
 // Digest returns a checksum over the definitions of all registered types,
@@ -124,8 +171,6 @@ func (ti *TI) Plan(t *Type, m *arch.Machine) *Plan {
 // the same digest; the migration protocol refuses streams whose digest
 // differs.
 func (ti *TI) Digest() uint32 {
-	ti.mu.Lock()
-	defer ti.mu.Unlock()
 	h := crc32.NewIEEE()
 	for i, t := range ti.types {
 		fmt.Fprintf(h, "%d:%s\n", i, t.Definition())
@@ -135,8 +180,6 @@ func (ti *TI) Digest() uint32 {
 
 // Types returns the registered types in index order.
 func (ti *TI) Types() []*Type {
-	ti.mu.Lock()
-	defer ti.mu.Unlock()
 	out := make([]*Type, len(ti.types))
 	copy(out, ti.types)
 	return out
@@ -145,14 +188,9 @@ func (ti *TI) Types() []*Type {
 // Summary returns a human-readable dump of the table, used by the
 // pre-compiler's -dump-ti flag.
 func (ti *TI) Summary(m *arch.Machine) string {
-	ti.mu.Lock()
-	ts := make([]*Type, len(ti.types))
-	copy(ts, ti.types)
-	ti.mu.Unlock()
-
 	var b strings.Builder
-	fmt.Fprintf(&b, "TI table: %d types (digest %08x) on %s\n", len(ts), ti.Digest(), m.Name)
-	for i, t := range ts {
+	fmt.Fprintf(&b, "TI table: %d types (digest %08x) on %s\n", len(ti.types), ti.Digest(), m.Name)
+	for i, t := range ti.types {
 		fmt.Fprintf(&b, "%4d  %-28s size=%-4d align=%-2d scalars=%-5d ptr=%v\n",
 			i, t.String(), t.SizeOf(m), t.AlignOf(m), t.ScalarCount(), t.HasPointer())
 	}

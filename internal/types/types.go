@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/arch"
 )
@@ -74,23 +75,45 @@ type Type struct {
 	// Params are the parameter types for KFunc.
 	Params []*Type
 
-	// scalarCount caches the flattened scalar element count (-1 until
+	// scalars holds the flattened scalar element count plus one (0 until
 	// computed). It is machine-independent.
-	scalarCount int
+	scalars atomic.Int64
+	// counting marks a type whose scalar count is being computed; it is
+	// guarded by lazyMu.
+	counting bool
 
-	layouts map[*arch.Machine]layout
+	// layouts lists the machine geometries computed so far. A published
+	// list is never modified: a new machine publishes a copy.
+	layouts atomic.Pointer[[]machLayout]
 }
 
-// layout caches the machine-dependent geometry of a type.
+// layout is the machine-dependent geometry of a type.
 type layout struct {
 	size    int
 	align   int
 	offsets []int // field byte offsets for structs
 }
 
-// Interning state for structural types.
+// machLayout is a type's layout on one machine.
+type machLayout struct {
+	m *arch.Machine
+	layout
+}
+
+// prims holds the canonical primitive types, built at package
+// initialization so PrimType never writes shared state.
+var prims = func() (ps [16]*Type) {
+	for k := range ps {
+		ps[k] = &Type{Kind: KPrim, Prim: arch.PrimKind(k)}
+	}
+	return ps
+}()
+
+// Interning state for structural types. The constructors run while a
+// program is compiled, possibly on several goroutines at once, so the
+// caches are guarded by internMu.
 var (
-	prims    [16]*Type
+	internMu sync.Mutex
 	ptrCache = map[*Type]*Type{}
 	arrCache = map[arrKey]*Type{}
 )
@@ -100,20 +123,8 @@ type arrKey struct {
 	n    int
 }
 
-func newType() *Type {
-	return &Type{scalarCount: -1, layouts: map[*arch.Machine]layout{}}
-}
-
 // Prim returns the canonical type for a primitive kind.
-func PrimType(k arch.PrimKind) *Type {
-	if prims[k] == nil {
-		t := newType()
-		t.Kind = KPrim
-		t.Prim = k
-		prims[k] = t
-	}
-	return prims[k]
-}
+func PrimType(k arch.PrimKind) *Type { return prims[k] }
 
 // Convenience singletons for the common primitives.
 var (
@@ -132,12 +143,12 @@ var (
 
 // PointerTo returns the canonical pointer-to-elem type.
 func PointerTo(elem *Type) *Type {
+	internMu.Lock()
+	defer internMu.Unlock()
 	if t, ok := ptrCache[elem]; ok {
 		return t
 	}
-	t := newType()
-	t.Kind = KPointer
-	t.Elem = elem
+	t := &Type{Kind: KPointer, Elem: elem}
 	ptrCache[elem] = t
 	return t
 }
@@ -145,13 +156,12 @@ func PointerTo(elem *Type) *Type {
 // ArrayOf returns the canonical n-element array of elem.
 func ArrayOf(elem *Type, n int) *Type {
 	k := arrKey{elem, n}
+	internMu.Lock()
+	defer internMu.Unlock()
 	if t, ok := arrCache[k]; ok {
 		return t
 	}
-	t := newType()
-	t.Kind = KArray
-	t.Elem = elem
-	t.Len = n
+	t := &Type{Kind: KArray, Elem: elem, Len: n}
 	arrCache[k] = t
 	return t
 }
@@ -161,20 +171,13 @@ func ArrayOf(elem *Type, n int) *Type {
 // containing struct node *) are built by creating the struct, forming
 // pointers to it, then defining the fields.
 func NewStruct(tag string) *Type {
-	t := newType()
-	t.Kind = KStruct
-	t.TagName = tag
-	return t
+	return &Type{Kind: KStruct, TagName: tag}
 }
 
 // FuncType returns a function type. Function types are not interned; the
 // checker compares them structurally.
 func FuncType(result *Type, params []*Type) *Type {
-	t := newType()
-	t.Kind = KFunc
-	t.Elem = result
-	t.Params = params
-	return t
+	return &Type{Kind: KFunc, Elem: result, Params: params}
 }
 
 // DefineFields completes a struct created by NewStruct.
@@ -284,23 +287,40 @@ func (t *Type) FieldIndex(name string) int {
 	return -1
 }
 
-// lazyMu guards the per-Type lazy caches (scalarCount, layouts). Types
-// are interned and shared by every process compiled from a program, and
-// processes may run on concurrent goroutines (sched clusters, streamed
-// migrations), so the memoization must be synchronized. The lock is held
-// across the whole recursive computation so the in-progress recursion
-// marker is never observable from another goroutine.
+// A type's geometry is computed once per machine and then published:
+// layoutFor and ScalarCount read it with one atomic load and no lock, so
+// the collection and restoration hot paths, which run on many goroutines
+// at once, never contend. lazyMu serializes only the first computation
+// of a geometry. It is held across the whole recursive computation, so
+// the counting marker is never observed by another goroutine, and a
+// geometry is published only after it is complete.
 var lazyMu sync.Mutex
 
-// layoutFor computes (and caches) the machine-dependent geometry.
-func (t *Type) layoutFor(m *arch.Machine) layout {
+// published returns t's layout on m, or nil if it has not been computed.
+func (t *Type) published(m *arch.Machine) *layout {
+	if ls := t.layouts.Load(); ls != nil {
+		for i := range *ls {
+			if (*ls)[i].m == m {
+				return &(*ls)[i].layout
+			}
+		}
+	}
+	return nil
+}
+
+// layoutFor returns the machine-dependent geometry, computing and
+// publishing it on first use. The result must not be modified.
+func (t *Type) layoutFor(m *arch.Machine) *layout {
+	if l := t.published(m); l != nil {
+		return l
+	}
 	lazyMu.Lock()
 	defer lazyMu.Unlock()
 	return t.layoutLocked(m)
 }
 
-func (t *Type) layoutLocked(m *arch.Machine) layout {
-	if l, ok := t.layouts[m]; ok {
+func (t *Type) layoutLocked(m *arch.Machine) *layout {
+	if l := t.published(m); l != nil {
 		return l
 	}
 	var l layout
@@ -336,8 +356,14 @@ func (t *Type) layoutLocked(m *arch.Machine) layout {
 	case KFunc:
 		l = layout{size: 0, align: 1}
 	}
-	t.layouts[m] = l
-	return l
+	var next []machLayout
+	if old := t.layouts.Load(); old != nil {
+		next = make([]machLayout, len(*old), len(*old)+1)
+		copy(next, *old)
+	}
+	next = append(next, machLayout{m: m, layout: l})
+	t.layouts.Store(&next)
+	return &next[len(next)-1].layout
 }
 
 // SizeOf returns the storage size of the type on machine m.
@@ -359,25 +385,29 @@ func (t *Type) OffsetOf(m *arch.Machine, i int) int {
 // It is machine-independent, making it the unit of the paper's
 // machine-independent pointer offsets.
 func (t *Type) ScalarCount() int {
+	if n := t.scalars.Load(); n > 0 {
+		return int(n - 1)
+	}
 	lazyMu.Lock()
 	defer lazyMu.Unlock()
 	return t.scalarCountLocked()
 }
 
 func (t *Type) scalarCountLocked() int {
-	if t.scalarCount >= 0 {
-		return t.scalarCount
+	if n := t.scalars.Load(); n > 0 {
+		return int(n - 1)
 	}
 	// Guard against recursion on (illegal) directly self-containing
-	// structs: mark as in-progress with 0; the checker rejects such
+	// structs: an in-progress type counts 0; the checker rejects such
 	// types before layout anyway.
-	t.scalarCount = 0
+	if t.counting {
+		return 0
+	}
+	t.counting = true
 	n := 0
 	switch t.Kind {
 	case KPrim:
-		if t.Prim == arch.Void {
-			n = 0
-		} else {
+		if t.Prim != arch.Void {
 			n = 1
 		}
 	case KPointer:
@@ -389,7 +419,8 @@ func (t *Type) scalarCountLocked() int {
 			n += f.Type.scalarCountLocked()
 		}
 	}
-	t.scalarCount = n
+	t.counting = false
+	t.scalars.Store(int64(n) + 1)
 	return n
 }
 
