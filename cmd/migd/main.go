@@ -337,6 +337,7 @@ func serve(engines []namedEngine, m *arch.Machine, o options) {
 	d := &session.Daemon{
 		Registry:      reg,
 		Mach:          m,
+		Metrics:       obs.Default,
 		Config:        o.sessionConfig(),
 		MaxConcurrent: o.maxConcurrent,
 		Timeout:       o.sessionTimeout,
@@ -437,7 +438,10 @@ func serve(engines []namedEngine, m *arch.Machine, o options) {
 		fmt.Fprintln(os.Stderr, "migd:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("[migd %s] drained: %s\n", m.Name, d.Counters().Snapshot())
+	c := d.Metrics.Counter
+	fmt.Printf("[migd %s] drained: accepted=%d restored=%d failed=%d bytes=%d\n", m.Name,
+		c("session.accepted").Value(), c("session.restored").Value(),
+		c("session.failed").Value(), c("session.bytes").Value())
 	if snap := obs.Default.Snapshot().String(); snap != "" {
 		fmt.Printf("[migd %s] metrics:\n%s", m.Name, snap)
 	}

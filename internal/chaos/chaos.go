@@ -98,7 +98,7 @@ const (
 	ClassDeltaBody Class = "live/bodies"
 	ClassLiveAbort Class = "live/abort"
 	ClassData      Class = "transport/data" // stream DATA chunk or a v1 sealed envelope
-	ClassControl   Class = "transport/ctl"  // stream HELLO/RESUME/ACK/NACK/FIN/DONE
+	ClassControl   Class = "transport/ctl"  // stream ACK/NACK/FIN/DONE
 	ClassUnknown   Class = "transport/raw"  // anything the classifier cannot name
 )
 

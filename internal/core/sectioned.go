@@ -12,11 +12,9 @@ package core
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/arch"
-	"repro/internal/link"
 	"repro/internal/obs"
 	"repro/internal/stream"
 	"repro/internal/vm"
@@ -51,7 +49,7 @@ func (e *Engine) OpenSectioned(payload []byte) (state []byte, srcName string, er
 // body to the sink through the encoder's WriteRaw, so the bytes go from
 // the pool worker's (pooled, reused) encode buffer straight into sw's
 // chunk buffers without staging through an intermediate envelope buffer.
-func (e *Engine) SendSectioned(sw io.WriteCloser, src *arch.Machine, p *vm.Process, chunkSize, workers int) (Timing, error) {
+func (e *Engine) SendSectioned(sw *stream.Writer, src *arch.Machine, p *vm.Process, chunkSize, workers int) (Timing, error) {
 	start := time.Now()
 	enc := xdr.NewEncoder(chunkSize + 1024)
 	enc.SetSink(chunkSize, func(b []byte) error {
@@ -60,24 +58,15 @@ func (e *Engine) SendSectioned(sw io.WriteCloser, src *arch.Machine, p *vm.Proce
 	})
 	e.putSectionedHeader(enc, src)
 	if err := p.CaptureSectionsTo(enc, workers); err != nil {
-		sw.Close()
-		return Timing{}, fmt.Errorf("core: sectioned collection: %w", err)
+		return Timing{}, closeAfterFailure(sw, "sectioned", fmt.Errorf("core: sectioned collection: %w", err))
 	}
 	if err := enc.FlushSink(); err != nil {
-		sw.Close()
-		return Timing{}, fmt.Errorf("core: sectioned transfer: %w", err)
+		return Timing{}, closeAfterFailure(sw, "sectioned", fmt.Errorf("core: sectioned transfer: %w", err))
 	}
 	if err := sw.Close(); err != nil {
 		return Timing{}, fmt.Errorf("core: sectioned transfer: %w", err)
 	}
 	return Timing{Tx: time.Since(start), Bytes: enc.Len()}, nil
-}
-
-// SendSectionedOver is the convenience path over a single established
-// transport: it wraps t in a plain stream.Writer and sends the snapshot.
-func (e *Engine) SendSectionedOver(t link.Transport, src *arch.Machine, p *vm.Process, cfg stream.Config, workers int) (Timing, error) {
-	w := stream.NewWriter(t, cfg)
-	return e.SendSectioned(w, src, p, chunkSizeOf(cfg), workers)
 }
 
 // ReceiveAndRestoreSectioned reassembles a sectioned envelope from r,

@@ -14,11 +14,9 @@ package core
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/arch"
-	"repro/internal/link"
 	"repro/internal/obs"
 	"repro/internal/stream"
 	"repro/internal/vm"
@@ -43,15 +41,15 @@ func (e *Engine) OpenStream(payload []byte) (state []byte, srcName string, err e
 }
 
 // SendStream collects the state of p (stopped at its migration point) and
-// transmits it through sw, a stream.Writer or stream.Session, overlapping
-// the depth-first MSR traversal with transmission: completed prefixes of
-// the encoded snapshot are handed to the chunk writer as collection
-// proceeds, bounded by the writer's transmit window. chunkSize is the
-// flush threshold and should match the writer's Config.ChunkSize.
+// transmits it through sw, overlapping the depth-first MSR traversal with
+// transmission: completed prefixes of the encoded snapshot are handed to
+// the chunk writer as collection proceeds, bounded by the writer's
+// transmit window. chunkSize is the flush threshold and should match the
+// writer's Config.ChunkSize.
 //
 // The returned Timing reports the whole overlapped phase as Tx; the
 // collection component is available separately via p.CaptureStats().
-func (e *Engine) SendStream(sw io.WriteCloser, src *arch.Machine, p *vm.Process, chunkSize int) (Timing, error) {
+func (e *Engine) SendStream(sw *stream.Writer, src *arch.Machine, p *vm.Process, chunkSize int) (Timing, error) {
 	start := time.Now()
 	enc := xdr.NewEncoder(chunkSize + 1024)
 	enc.SetSink(chunkSize, func(b []byte) error {
@@ -60,12 +58,10 @@ func (e *Engine) SendStream(sw io.WriteCloser, src *arch.Machine, p *vm.Process,
 	})
 	e.putStreamHeader(enc, src)
 	if err := p.CaptureTo(enc); err != nil {
-		sw.Close()
-		return Timing{}, fmt.Errorf("core: streamed collection: %w", err)
+		return Timing{}, closeAfterFailure(sw, "streamed", fmt.Errorf("core: streamed collection: %w", err))
 	}
 	if err := enc.FlushSink(); err != nil {
-		sw.Close()
-		return Timing{}, fmt.Errorf("core: streamed transfer: %w", err)
+		return Timing{}, closeAfterFailure(sw, "streamed", fmt.Errorf("core: streamed transfer: %w", err))
 	}
 	if err := sw.Close(); err != nil {
 		return Timing{}, fmt.Errorf("core: streamed transfer: %w", err)
@@ -73,19 +69,17 @@ func (e *Engine) SendStream(sw io.WriteCloser, src *arch.Machine, p *vm.Process,
 	return Timing{Tx: time.Since(start), Bytes: enc.Len()}, nil
 }
 
-// SendStreamed is the convenience path over a single established
-// transport: it wraps t in a plain stream.Writer and streams the snapshot.
-func (e *Engine) SendStreamed(t link.Transport, src *arch.Machine, p *vm.Process, cfg stream.Config) (Timing, error) {
-	w := stream.NewWriter(t, cfg)
-	return e.SendStream(w, src, p, chunkSizeOf(cfg))
-}
-
-// chunkSizeOf resolves the effective chunk size of a stream config.
-func chunkSizeOf(cfg stream.Config) int {
-	if cfg.ChunkSize > 0 {
-		return cfg.ChunkSize
+// closeAfterFailure closes sw once its producer failed with err. When the
+// writer itself failed — a dead transport, or the receiver rejecting the
+// stream — that failure is the cause and is reported in place of err,
+// whose chain holds whichever writer error the producer happened to see
+// first: Close waits for the receiver's last word, so a rejection is
+// reported as one even when a send failure raced it.
+func closeAfterFailure(sw *stream.Writer, mode string, err error) error {
+	if werr := sw.Close(); werr != nil {
+		return fmt.Errorf("core: %s transfer: %w", mode, werr)
 	}
-	return 256 << 10
+	return err
 }
 
 // ReceiveAndRestoreStream reassembles a streamed envelope from r, verifies

@@ -12,8 +12,9 @@ const FlightSchema = "repro-flight/1"
 
 // defaultFlightCapacity bounds a recorder that was created without an
 // explicit capacity. A migration session emits tens of events (phase
-// transitions, retransmits, reconnects), so 256 keeps the interesting tail
-// with room to spare while bounding memory per in-flight session.
+// transitions, stream rejections, rollbacks), so 256 keeps the
+// interesting tail with room to spare while bounding memory per in-flight
+// session.
 const defaultFlightCapacity = 256
 
 // FlightEvent is one structured entry in a flight recording.
@@ -29,8 +30,8 @@ type FlightEvent struct {
 }
 
 // FlightRecorder is a bounded in-memory ring of structured events kept per
-// migration session: phase transitions, retransmits, reconnects, NACK
-// rewinds, failure classifications. It records always and cheaply, and is
+// migration session: phase transitions, stream NACKs, commits and
+// rollbacks, failure classifications. It records always and cheaply, and is
 // read only when the session fails — the dump that explains a failure
 // without per-session log volume on the success path.
 //

@@ -10,7 +10,7 @@
 // migration tunable. This package turns that attribution from experiment
 // scaffolding into an always-available subsystem instrumenting all four
 // layers of the stack: xdr (encode/decode volume), stream (frames, acks,
-// redials, window occupancy), collect/vm (per-phase and per-section spans
+// nacks, window occupancy), collect/vm (per-phase and per-section spans
 // on capture and restore), and session/migd (per-session traces with the
 // negotiated version and classified outcome).
 //

@@ -17,7 +17,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/link"
 	"repro/internal/obs"
-	"repro/internal/stats"
 	"repro/internal/vm"
 )
 
@@ -310,7 +309,6 @@ type Daemon struct {
 	// other transport middleware) injects through. Called concurrently.
 	WrapTransport func(link.Transport) link.Transport
 
-	counters stats.SessionCounters
 	nextID   atomic.Uint64
 	closing  atomic.Bool
 	aborting atomic.Bool
@@ -320,9 +318,6 @@ type Daemon struct {
 	connMu sync.Mutex
 	conns  map[*link.Conn]struct{}
 }
-
-// Counters exposes the daemon's lifecycle counters.
-func (d *Daemon) Counters() *stats.SessionCounters { return &d.counters }
 
 // metrics resolves the registry the daemon publishes to.
 func (d *Daemon) metrics() *obs.Registry {
@@ -423,7 +418,6 @@ func (d *Daemon) Serve(l *link.Listener) error {
 			}
 			return err
 		}
-		d.counters.Accepted()
 		d.metrics().Counter("session.accepted").Inc()
 		sem <- struct{}{}
 		d.wg.Add(1)
@@ -474,7 +468,6 @@ func (d *Daemon) handle(conn *link.Conn) {
 	reg.Histogram("session.duration").Observe(elapsed)
 	if err != nil {
 		class := ClassifyFailure(err)
-		d.counters.Failed()
 		reg.Counter("session.failed").Inc()
 		reg.Counter("session.fail." + string(class)).Inc()
 		recorder.Record("session.classify", "%s: %v", class, err)
@@ -491,7 +484,6 @@ func (d *Daemon) handle(conn *link.Conn) {
 		}
 		return
 	}
-	d.counters.Restored(timing.Bytes)
 	reg.Counter("session.restored").Inc()
 	reg.Counter("session.bytes").Add(int64(timing.Bytes))
 	cfg.Trace.SetAttr("outcome", "restored")

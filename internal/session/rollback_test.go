@@ -2,14 +2,18 @@ package session
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/arch"
 	"repro/internal/chaos"
 	"repro/internal/core"
+	"repro/internal/link"
 	"repro/internal/obs"
+	"repro/internal/vm"
 )
 
 // Every early return in Initiate, InitiateLive, and awaitRestored must
@@ -174,5 +178,69 @@ func TestTransferRollsBackOnFailure(t *testing.T) {
 	}
 	if !resumed {
 		t.Errorf("flight recording lacks the rollback completion: %+v", flight.Events())
+	}
+}
+
+// TestCorruptChunkFailsBothEndsAsCorrupt flips one byte inside one stream
+// DATA chunk on the initiator's transport. The responder rejects the
+// stream and tells the initiator so: both ends must classify the failure
+// as corrupt-stream (not as a transport failure), the destination must
+// keep no process, and the source must roll back to completion.
+func TestCorruptChunkFailsBothEndsAsCorrupt(t *testing.T) {
+	for _, v := range []uint32{core.VersionStream, core.VersionSectioned} {
+		v := v
+		t.Run(fmt.Sprintf("v%d", v), func(t *testing.T) {
+			t.Parallel()
+			e := newListEngine(t)
+			p := stoppedAt(t, e, arch.DEC5000)
+			cfg := Config{MaxVersion: v, ChunkSize: 64}
+			reg := NewRegistry()
+			reg.Add("list", e)
+			a, b := link.Pipe()
+			defer a.Close()
+			defer b.Close()
+			type rr struct {
+				q   *vm.Process
+				err error
+			}
+			c := make(chan rr, 1)
+			go func() {
+				_, q, _, err := Respond(b, reg, arch.SPARC20, cfg)
+				if err != nil {
+					// Drop the connection, as the daemon does.
+					b.Close()
+				}
+				c <- rr{q, err}
+			}()
+			mangled := corruptingTransport{Transport: a, match: func(f []byte) bool {
+				// Stream frames start with magic "MSTR", then the
+				// message type (DATA = 3) and the chunk sequence number.
+				return len(f) > 20 && string(f[:4]) == "MSTR" &&
+					binary.BigEndian.Uint32(f[4:]) == 3 && binary.BigEndian.Uint32(f[8:]) == 1
+			}}
+			_, initErr := Initiate(mangled, e, p.Mach, "list", p, cfg)
+			// Drop the connection, as a migrating client does on failure.
+			a.Close()
+			r := <-c
+			if initErr == nil || r.err == nil {
+				t.Fatalf("a corrupt chunk went unnoticed: initiator %v, responder %v", initErr, r.err)
+			}
+			if got := ClassifyFailure(initErr); got != FailCorrupt {
+				t.Errorf("initiator classified %s, want %s: %v", got, FailCorrupt, initErr)
+			}
+			if got := ClassifyFailure(r.err); got != FailCorrupt {
+				t.Errorf("responder classified %s, want %s: %v", got, FailCorrupt, r.err)
+			}
+			if r.q != nil {
+				t.Error("responder returned a process restored from a corrupt stream")
+			}
+			res, err := Rollback(p, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Migrated || res.ExitCode != listExit {
+				t.Errorf("rolled-back run = %+v, want exit %d", res, listExit)
+			}
+		})
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/link"
 	"repro/internal/minic"
+	"repro/internal/obs"
 	"repro/internal/vm"
 )
 
@@ -71,6 +72,16 @@ func stoppedAt(t *testing.T, e *core.Engine, m *arch.Machine) *vm.Process {
 		t.Fatalf("setup: migrated=%v err=%v", res != nil && res.Migrated, err)
 	}
 	return p
+}
+
+// lifecycle holds a daemon's four lifecycle counters.
+type lifecycle struct{ accepted, restored, failed, bytes int64 }
+
+// lifecycleOf reads the lifecycle counters from a daemon's registry.
+func lifecycleOf(reg *obs.Registry) lifecycle {
+	c := reg.Counter
+	return lifecycle{c("session.accepted").Value(), c("session.restored").Value(),
+		c("session.failed").Value(), c("session.bytes").Value()}
 }
 
 func TestNegotiate(t *testing.T) {
@@ -294,6 +305,7 @@ func TestDaemonConcurrentMixedVersions(t *testing.T) {
 		Mach:          arch.SPARC20,
 		MaxConcurrent: clients,
 		Timeout:       time.Minute,
+		Metrics:       obs.NewRegistry(),
 		OnRestored: func(info Info, p *vm.Process, _ core.Timing) {
 			mu.Lock()
 			arrived++
@@ -360,11 +372,11 @@ func TestDaemonConcurrentMixedVersions(t *testing.T) {
 	if err := <-served; err != nil {
 		t.Fatalf("serve after drain: %v", err)
 	}
-	s := d.Counters().Snapshot()
-	if s.Accepted != clients || s.Restored != clients || s.Failed != 0 {
-		t.Errorf("counters = %v", s)
+	s := lifecycleOf(d.Metrics)
+	if s.accepted != clients || s.restored != clients || s.failed != 0 {
+		t.Errorf("counters = %+v", s)
 	}
-	if s.Bytes == 0 {
+	if s.bytes == 0 {
 		t.Error("no payload bytes counted")
 	}
 }
@@ -383,6 +395,7 @@ func TestDaemonSurvivesCutHandshake(t *testing.T) {
 		Mach:          arch.SPARC20,
 		MaxConcurrent: 2,
 		Timeout:       30 * time.Second,
+		Metrics:       obs.NewRegistry(),
 		Logf: func(format string, args ...any) {
 			mu.Lock()
 			logs = append(logs, fmt.Sprintf(format, args...))
@@ -415,12 +428,12 @@ func TestDaemonSurvivesCutHandshake(t *testing.T) {
 	if err := <-served; err != nil {
 		t.Fatalf("serve after drain: %v", err)
 	}
-	s := d.Counters().Snapshot()
-	if s.Failed < 1 {
-		t.Errorf("cut handshake not counted as failure: %v", s)
+	s := lifecycleOf(d.Metrics)
+	if s.failed < 1 {
+		t.Errorf("cut handshake not counted as failure: %+v", s)
 	}
-	if s.Restored < 1 {
-		t.Errorf("daemon stopped restoring after cut handshake: %v", s)
+	if s.restored < 1 {
+		t.Errorf("daemon stopped restoring after cut handshake: %+v", s)
 	}
 	mu.Lock()
 	defer mu.Unlock()
@@ -445,6 +458,7 @@ func TestDaemonSessionTimeout(t *testing.T) {
 		Mach:          arch.SPARC20,
 		MaxConcurrent: 1,
 		Timeout:       50 * time.Millisecond,
+		Metrics:       obs.NewRegistry(),
 	}
 	addr, served := daemonFixture(t, d)
 	raw, err := net.Dial("tcp", addr)
@@ -466,7 +480,7 @@ func TestDaemonSessionTimeout(t *testing.T) {
 	if err := <-served; err != nil {
 		t.Fatal(err)
 	}
-	if s := d.Counters().Snapshot(); s.Failed < 1 {
-		t.Errorf("stalled session not counted as failure: %v", s)
+	if s := lifecycleOf(d.Metrics); s.failed < 1 {
+		t.Errorf("stalled session not counted as failure: %+v", s)
 	}
 }

@@ -8,7 +8,7 @@
 // memory segments is still running, so collection time and wire time
 // overlap instead of adding.
 //
-// Three types cooperate:
+// Two types cooperate:
 //
 //   - Writer cuts the byte stream into chunks and transmits them from a
 //     background goroutine behind a bounded window (backpressure: when the
@@ -16,38 +16,38 @@
 //     migration is bounded by Window*ChunkSize rather than the snapshot
 //     size);
 //   - Reader reassembles, verifies per-chunk and whole-stream checksums,
-//     acknowledges progress, and feeds restoration incrementally via Next;
-//   - Session wraps Writer with robustness: per-chunk acknowledgement
-//     watermarks, retention of unacknowledged chunks, reconnection with
-//     exponential backoff after a mid-stream disconnect, and resume from
-//     the receiver's high-water mark rather than from byte zero.
+//     acknowledges progress, and feeds restoration incrementally via Next.
+//
+// A transfer either completes or fails with a typed error; the stream
+// layer never retransmits. Recovery belongs to the session layer above
+// it: a failed transfer fails the session, and the source process, still
+// paused at its migration point, resumes (internal/session's COMMIT and
+// Rollback).
 //
 // # Wire protocol
 //
 // Every message is one link.Transport frame (which already carries its own
 // length + CRC framing). Messages are XDR-encoded:
 //
-//	hello  = magic, HELLO, sessionID u64         ; sender -> receiver on (re)connect
-//	resume = magic, RESUME, nextSeq u32          ; receiver's reply: first chunk it needs
 //	data   = magic, DATA, seq u32, crc u32, payload opaque
 //	ack    = magic, ACK, nextSeq u32             ; cumulative: all chunks < nextSeq held
-//	nack   = magic, NACK, nextSeq u32            ; corrupt chunk: rewind to nextSeq
+//	nack   = magic, NACK, nextSeq u32            ; stream rejected at nextSeq
 //	fin    = magic, FIN, chunks u32, bytes u64, crc u32  ; whole-stream CRC-32
 //	done   = magic, DONE, bytes u64              ; receiver verified the stream
 //
-// Sequence numbers start at zero and chunks are transmitted in order; the
-// receiver discards any chunk whose sequence number is not the one it
-// expects (duplicates arise naturally after a resume or a rewind). The
-// per-chunk CRC is redundant over TCP framing but pays for itself on
-// transports without integrity (files) and lets the receiver convert a
-// corrupt-but-aligned frame (link.ErrChecksum) into a NACK re-request
-// instead of a failed migration.
+// Sequence numbers start at zero and chunks are transmitted in order. The
+// receiver rejects the stream — a best-effort NACK to the sender, then an
+// ErrVerify failure on both ends — on the first chunk whose CRC or
+// sequence number is wrong, on a frame the transport reports corrupt
+// (link.ErrChecksum), and on a FIN whose totals disagree with what
+// arrived. The per-chunk CRC is redundant over TCP framing but pays for
+// itself on transports without integrity (files) and lets a damaged
+// chunk surface as a corrupt stream rather than as a restore failure.
 package stream
 
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/xdr"
@@ -56,11 +56,10 @@ import (
 // streamMagic guards every stream-layer message ("MSTR").
 const streamMagic = 0x4d535452
 
-// Message types.
+// Message types. The values are wire format: 1 and 2 are unassigned and
+// stay so, and internal/chaos mirrors DATA = 3 to classify frames.
 const (
-	msgHello uint32 = iota + 1
-	msgResume
-	msgData
+	msgData uint32 = iota + 3
 	msgAck
 	msgNack
 	msgFin
@@ -70,14 +69,14 @@ const (
 // Errors reported by the stream layer.
 var (
 	// ErrProtocol is returned when a peer sends a message that violates
-	// the stream protocol (bad magic, unexpected type, sequence gap).
+	// the stream protocol (bad magic, unexpected type).
 	ErrProtocol = errors.New("stream: protocol violation")
-	// ErrVerify is returned when the reassembled stream fails the
-	// whole-stream checksum or length check in FIN.
+	// ErrVerify is returned when the stream is damaged: a chunk fails its
+	// CRC or arrives out of sequence, a frame fails the transport's
+	// checksum, or the reassembled stream fails the FIN totals. The
+	// receiver reports it directly; the sender reports it on the
+	// receiver's NACK.
 	ErrVerify = errors.New("stream: stream verification failed")
-	// ErrRetriesExhausted is returned by a Session when reconnection
-	// attempts exceed Config.MaxRetries.
-	ErrRetriesExhausted = errors.New("stream: reconnect retries exhausted")
 )
 
 // Config tunes the streaming layer. The zero value selects the defaults.
@@ -92,17 +91,9 @@ type Config struct {
 	// chunks (default 4). The final FIN/DONE exchange always confirms
 	// the tail regardless.
 	AckEvery int
-	// MaxRetries bounds a Session's reconnection attempts after a
-	// transport failure (default 5; 0 uses the default, negative
-	// disables reconnection).
-	MaxRetries int
-	// RetryBase is the first reconnect backoff delay (default 20ms);
-	// subsequent attempts double it up to RetryMax (default 1s).
-	RetryBase time.Duration
-	RetryMax  time.Duration
-	// Recorder, when set, receives structured flight-recorder events for
-	// the robustness machinery (reconnects, rewinds, NACKs) so a failed
-	// migration can be reconstructed after the fact. Nil disables.
+	// Recorder, when set, receives a structured flight-recorder event for
+	// every rejected stream (stream.nack) so a failed migration can be
+	// reconstructed after the fact. Nil disables.
 	Recorder *obs.FlightRecorder
 }
 
@@ -122,24 +113,7 @@ func (c Config) withDefaults() Config {
 		// make progress.
 		c.AckEvery = c.Window
 	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 5
-	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = 20 * time.Millisecond
-	}
-	if c.RetryMax <= 0 {
-		c.RetryMax = time.Second
-	}
 	return c
-}
-
-// retainedChunk is a transmitted-but-unacknowledged chunk held by a
-// Session, stamped with its most recent transmission time so the
-// acknowledgement watermark can observe the per-chunk round trip.
-type retainedChunk struct {
-	chunk
-	sentAt time.Time
 }
 
 // chunk is one in-flight piece of the snapshot.
@@ -151,19 +125,10 @@ type chunk struct {
 // message is a decoded stream-layer control or data message.
 type message struct {
 	typ     uint32
-	seq     uint32 // DATA seq; ACK/NACK/RESUME nextSeq; FIN chunk count
+	seq     uint32 // DATA seq; ACK/NACK nextSeq; FIN chunk count
 	crc     uint32 // DATA / FIN
 	bytes   uint64 // FIN / DONE
-	session uint64 // HELLO
 	payload []byte // DATA
-}
-
-func marshalHello(sessionID uint64) []byte {
-	e := xdr.NewEncoder(16)
-	e.PutUint32(streamMagic)
-	e.PutUint32(msgHello)
-	e.PutUint64(sessionID)
-	return e.Bytes()
 }
 
 func marshalSeq(typ, nextSeq uint32) []byte {
@@ -215,9 +180,7 @@ func parseMessage(raw []byte) (message, error) {
 	}
 	m := message{typ: typ}
 	switch typ {
-	case msgHello:
-		m.session, err = d.Uint64()
-	case msgResume, msgAck, msgNack:
+	case msgAck, msgNack:
 		m.seq, err = d.Uint32()
 	case msgData:
 		if m.seq, err = d.Uint32(); err != nil {

@@ -3,9 +3,9 @@ package stream
 import (
 	"bytes"
 	"errors"
+	"hash/crc32"
 	"io"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"repro/internal/link"
@@ -136,13 +136,29 @@ func TestReaderDeliversIncrementally(t *testing.T) {
 	}
 }
 
-func TestWriterFailsOnDeadTransportWithoutSession(t *testing.T) {
+// killAfterSends lets n Sends through, then closes the connection and
+// fails every later Send. Only the Writer's transmit goroutine sends on
+// its transport, so the countdown needs no lock.
+type killAfterSends struct {
+	link.Transport
+	n int
+}
+
+func (k *killAfterSends) Send(b []byte) error {
+	if k.n <= 0 {
+		k.Transport.Close()
+		return link.ErrClosed
+	}
+	k.n--
+	return k.Transport.Send(b)
+}
+
+func TestWriterFailsOnDeadTransport(t *testing.T) {
 	cfg := Config{ChunkSize: 256, Window: 2}
 	a, b := link.Pipe()
 	defer b.Close()
-	fa := NewFault(a).FailAfterSends(3)
 	res := runReader(NewReader(b, cfg))
-	w := NewWriter(fa, cfg)
+	w := NewWriter(&killAfterSends{Transport: a, n: 3}, cfg)
 	payload := testPayload(64*1024, 11)
 	_, werr := w.Write(payload)
 	cerr := w.Close()
@@ -150,7 +166,7 @@ func TestWriterFailsOnDeadTransportWithoutSession(t *testing.T) {
 		t.Error("transfer over a killed transport reported success")
 	}
 	if r := <-res; r.err == nil {
-		t.Error("reader reported success after sender death with no reaccept")
+		t.Error("reader reported success after the sender's transport died")
 	}
 }
 
@@ -159,8 +175,10 @@ func TestParseMessageRejectsGarbage(t *testing.T) {
 		nil,
 		{1, 2, 3},
 		marshalSeq(99, 0),   // unknown type
-		marshalHello(1)[:6], // truncated
-		append([]byte{0, 0, 0, 0}, marshalHello(1)[4:]...), // bad magic
+		marshalSeq(1, 0),    // unassigned type
+		marshalSeq(2, 0),    // unassigned type
+		marshalDone(1)[:10], // truncated
+		append([]byte{0, 0, 0, 0}, marshalDone(1)[4:]...), // bad magic
 	}
 	for i, raw := range cases {
 		if _, err := parseMessage(raw); !errors.Is(err, ErrProtocol) {
@@ -169,219 +187,111 @@ func TestParseMessageRejectsGarbage(t *testing.T) {
 	}
 }
 
-// pipeNet hands the sender fresh in-memory connections and delivers the
-// peer ends to the receiver — a reconnectable network made of link.Pipe.
-type pipeNet struct {
-	mu    sync.Mutex
-	conns chan link.Transport
-	dials int
-	// faults wraps the sender side of the i-th dial.
-	faults map[int]func(link.Transport) link.Transport
-	// dialErrs fails the i-th dial outright.
-	dialErrs map[int]error
-}
-
-func newPipeNet() *pipeNet {
-	return &pipeNet{conns: make(chan link.Transport, 4)}
-}
-
-func (n *pipeNet) dial() (link.Transport, error) {
-	n.mu.Lock()
-	i := n.dials
-	n.dials++
-	fault := n.faults[i]
-	derr := n.dialErrs[i]
-	n.mu.Unlock()
-	if derr != nil {
-		return nil, derr
+// TestReaderRejectsDamage feeds a Reader hand-built frame sequences, one
+// per kind of damage. Each must end the transfer with ErrVerify after one
+// NACK to the sender, without waiting for anything further.
+func TestReaderRejectsDamage(t *testing.T) {
+	c0 := chunk{seq: 0, payload: []byte("chunk zero")}
+	c1 := chunk{seq: 1, payload: []byte("chunk one!")}
+	good0 := marshalData(c0, crc32.ChecksumIEEE(c0.payload))
+	cases := []struct {
+		name   string
+		frames [][]byte
+	}{
+		{"payload crc", [][]byte{marshalData(c0, crc32.ChecksumIEEE(c0.payload)^1)}},
+		{"sequence gap", [][]byte{marshalData(c1, crc32.ChecksumIEEE(c1.payload))}},
+		{"fin chunk count", [][]byte{good0, marshalFin(2, uint64(len(c0.payload)), crc32.ChecksumIEEE(c0.payload))}},
+		{"fin stream crc", [][]byte{good0, marshalFin(1, uint64(len(c0.payload)), 0)}},
+		{"frame checksum", nil}, // the transport reports link.ErrChecksum
 	}
-	a, b := link.Pipe()
-	var t link.Transport = a
-	if fault != nil {
-		t = fault(a)
-	}
-	n.conns <- b
-	return t, nil
-}
-
-func (n *pipeNet) accept() (link.Transport, error) {
-	return <-n.conns, nil
-}
-
-func sessionTransfer(t *testing.T, net *pipeNet, cfg Config, payload []byte, wrapReceiver func(link.Transport) link.Transport) (SessionStats, readResult) {
-	t.Helper()
-	// The session dials eagerly from its pump, which queues the peer end
-	// for the receiver's accept below.
-	s := NewSession(net.dial, 42, cfg)
-	first, err := net.accept()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wrapReceiver != nil {
-		first = wrapReceiver(first)
-	}
-	r := NewReader(first, cfg)
-	r.SetReaccept(net.accept)
-	res := runReader(r)
-
-	if _, err := s.Write(payload); err != nil {
-		t.Fatalf("session write: %v", err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("session close: %v", err)
-	}
-	return s.Stats(), <-res
-}
-
-func TestSessionResumesAfterMidTransferDisconnect(t *testing.T) {
-	cfg := Config{ChunkSize: 1024, Window: 4, AckEvery: 2, RetryBase: 1e6 /* 1ms */}
-	net := newPipeNet()
-	// First connection dies after 7 successful sends (hello + 6 chunks):
-	// the transfer is killed at a chunk boundary mid-stream.
-	net.faults = map[int]func(link.Transport) link.Transport{
-		0: func(tr link.Transport) link.Transport { return NewFault(tr).FailAfterSends(7) },
-	}
-	payload := testPayload(40*1024, 21) // 40 chunks
-	// The session must dial first so pipeNet has a connection queued for
-	// the receiver; NewSession dials eagerly from its pump.
-	stats, r := sessionTransfer(t, net, cfg, payload, nil)
-	if r.err != nil {
-		t.Fatalf("read: %v", r.err)
-	}
-	if !bytes.Equal(r.data, payload) {
-		t.Fatal("stream after resume differs from original")
-	}
-	if stats.Reconnects < 1 {
-		t.Errorf("reconnects = %d, want >= 1", stats.Reconnects)
-	}
-	if r.stats.Reconnects < 1 {
-		t.Errorf("reader reconnects = %d, want >= 1", r.stats.Reconnects)
-	}
-	if stats.AckedSeq != 40 {
-		t.Errorf("final ack watermark = %d, want 40", stats.AckedSeq)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			a, b := link.Pipe()
+			defer a.Close()
+			defer b.Close()
+			var rt link.Transport = b
+			if c.frames == nil {
+				rt = checksumFailure{b}
+			}
+			for _, f := range c.frames {
+				if err := a.Send(f); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fr := obs.NewFlightRecorder(0)
+			r := NewReader(rt, Config{AckEvery: 16, Recorder: fr})
+			if _, err := r.ReadAll(); !errors.Is(err, ErrVerify) {
+				t.Fatalf("read = %v, want ErrVerify", err)
+			}
+			raw, err := a.Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m, err := parseMessage(raw); err != nil || m.typ != msgNack {
+				t.Errorf("sender got %+v (%v), want a NACK", m, err)
+			}
+			if r.Stats().Nacks != 1 {
+				t.Errorf("nacks = %d, want 1", r.Stats().Nacks)
+			}
+			if ev := fr.Events(); len(ev) != 1 || ev[0].Kind != "stream.nack" {
+				t.Errorf("recorder events = %v, want one stream.nack", ev)
+			}
+		})
 	}
 }
 
-func TestSessionSurvivesRepeatedDisconnects(t *testing.T) {
-	cfg := Config{ChunkSize: 512, Window: 4, AckEvery: 2, RetryBase: 1e6}
-	net := newPipeNet()
-	net.faults = map[int]func(link.Transport) link.Transport{
-		0: func(tr link.Transport) link.Transport { return NewFault(tr).FailAfterSends(4) },
-		1: func(tr link.Transport) link.Transport { return NewFault(tr).FailAfterSends(9) },
-		2: func(tr link.Transport) link.Transport { return NewFault(tr).FailAfterRecvs(3) },
-	}
-	net.dialErrs = map[int]error{3: errors.New("destination briefly unreachable")}
-	payload := testPayload(30*1024, 5) // 60 chunks
-	stats, r := sessionTransfer(t, net, cfg, payload, nil)
-	if r.err != nil {
-		t.Fatalf("read: %v", r.err)
-	}
-	if !bytes.Equal(r.data, payload) {
-		t.Fatal("stream after repeated resumes differs from original")
-	}
-	if stats.Reconnects < 3 {
-		t.Errorf("reconnects = %d, want >= 3", stats.Reconnects)
-	}
+// checksumFailure is a transport whose every Recv reports a corrupt but
+// fully consumed frame.
+type checksumFailure struct{ link.Transport }
+
+func (checksumFailure) Recv() ([]byte, error) { return nil, link.ErrChecksum }
+
+// corruptNthData flips the first payload byte of the n-th DATA frame
+// (1-based) it receives.
+type corruptNthData struct {
+	link.Transport
+	n int
 }
 
-func TestSessionRewindsOnCorruptChunk(t *testing.T) {
-	cfg := Config{ChunkSize: 1024, Window: 4, AckEvery: 2}
-	net := newPipeNet()
-	payload := testPayload(20*1024, 9)
-	// The receiver's 4th frame (hello is the sender's; receiver sees
-	// data frames from 1) arrives corrupt: link.ErrChecksum surfaces and
-	// must become a NACK re-request, not a failed migration.
-	stats, r := sessionTransfer(t, net, cfg, payload, func(tr link.Transport) link.Transport {
-		return NewFault(tr).CorruptRecv(4)
-	})
-	if r.err != nil {
-		t.Fatalf("read: %v", r.err)
-	}
-	if !bytes.Equal(r.data, payload) {
-		t.Fatal("stream after corruption rewind differs from original")
-	}
-	if r.stats.Nacks != 1 {
-		t.Errorf("reader nacks = %d, want 1", r.stats.Nacks)
-	}
-	if stats.Retransmits < 1 {
-		t.Errorf("retransmits = %d, want >= 1", stats.Retransmits)
-	}
-	if stats.Reconnects != 0 {
-		t.Errorf("reconnects = %d, corruption should rewind over the live connection", stats.Reconnects)
-	}
-}
-
-func TestSessionRetriesExhausted(t *testing.T) {
-	dialErr := errors.New("connection refused")
-	dial := func() (link.Transport, error) { return nil, dialErr }
-	s := NewSession(dial, 1, Config{MaxRetries: 2, RetryBase: 1e6, RetryMax: 2e6})
-	// The pump fails in the background; Write must unblock with the error
-	// rather than hanging on a window that will never drain.
-	payload := testPayload(1<<20, 13)
-	_, werr := s.Write(payload)
-	cerr := s.Close()
-	if werr == nil && cerr == nil {
-		t.Fatal("session succeeded with no reachable destination")
-	}
-	if !errors.Is(cerr, ErrRetriesExhausted) && !errors.Is(werr, ErrRetriesExhausted) {
-		t.Errorf("want ErrRetriesExhausted, got write=%v close=%v", werr, cerr)
-	}
-}
-
-func TestSessionTransportHandoff(t *testing.T) {
-	cfg := Config{ChunkSize: 4096, Window: 4}
-	net := newPipeNet()
-	payload := testPayload(16*1024, 17)
-
-	done := make(chan error, 1)
-	go func() {
-		tr, err := net.accept()
-		if err != nil {
-			done <- err
-			return
+func (c *corruptNthData) Recv() ([]byte, error) {
+	raw, err := c.Transport.Recv()
+	if err == nil {
+		if m, perr := parseMessage(raw); perr == nil && m.typ == msgData {
+			if c.n--; c.n == 0 {
+				// magic, type, seq, crc, and the opaque length precede
+				// the payload.
+				raw[20] ^= 0xff
+			}
 		}
-		r := NewReader(tr, cfg)
-		r.SetReaccept(net.accept)
-		if _, err := r.ReadAll(); err != nil {
-			done <- err
-			return
-		}
-		// Application-level acknowledgement after the snapshot, as migd
-		// sends once restoration succeeds.
-		done <- tr.Send([]byte("restored"))
-	}()
-
-	s := NewSession(net.dial, 7, cfg)
-	if _, err := s.Write(payload); err != nil {
-		t.Fatal(err)
 	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	ack, err := s.Transport().Recv()
-	if err != nil || string(ack) != "restored" {
-		t.Fatalf("application ack after session: %q, %v", ack, err)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
+	return raw, err
 }
 
 // TestFlightRecorderAndAckRTT verifies the observability hooks of the
-// robust path: a corruption rewind leaves structured events in the
-// session's flight recorder (both sides share one here), and completed
-// transfers feed the ack round-trip histogram.
+// plain Writer/Reader pair: a corrupted chunk leaves a stream.nack event
+// in the flight recorder and fails both ends with ErrVerify, and a clean
+// transfer feeds the ack round-trip histogram.
 func TestFlightRecorderAndAckRTT(t *testing.T) {
-	before := obs.Default.Histogram("stream.ack.rtt").Count()
+	payload := testPayload(20*1024, 21)
+
 	fr := obs.NewFlightRecorder(0)
 	cfg := Config{ChunkSize: 1024, Window: 4, AckEvery: 2, Recorder: fr}
-	net := newPipeNet()
-	payload := testPayload(20*1024, 21)
-	_, r := sessionTransfer(t, net, cfg, payload, func(tr link.Transport) link.Transport {
-		return NewFault(tr).CorruptRecv(4)
-	})
-	if r.err != nil {
-		t.Fatalf("read: %v", r.err)
+	a, b := link.Pipe()
+	res := runReader(NewReader(&corruptNthData{Transport: b, n: 4}, cfg))
+	w := NewWriter(a, cfg)
+	_, werr := w.Write(payload)
+	cerr := w.Close()
+	r := <-res
+	a.Close()
+	b.Close()
+	if !errors.Is(r.err, ErrVerify) {
+		t.Errorf("reader error = %v, want ErrVerify", r.err)
+	}
+	if !errors.Is(cerr, ErrVerify) {
+		t.Errorf("writer error = %v (write %v), want ErrVerify", cerr, werr)
+	}
+	if r.stats.Chunks != 3 {
+		t.Errorf("reader delivered %d chunks before the corrupt one, want 3", r.stats.Chunks)
 	}
 	kinds := map[string]bool{}
 	for _, ev := range fr.Events() {
@@ -390,8 +300,21 @@ func TestFlightRecorderAndAckRTT(t *testing.T) {
 	if !kinds["stream.nack"] {
 		t.Errorf("recorder missing stream.nack event: %v", kinds)
 	}
-	if !kinds["stream.rewind"] {
-		t.Errorf("recorder missing stream.rewind event: %v", kinds)
+
+	before := obs.Default.Histogram("stream.ack.rtt").Count()
+	a, b = link.Pipe()
+	defer a.Close()
+	defer b.Close()
+	res = runReader(NewReader(b, cfg))
+	w = NewWriter(a, cfg)
+	if _, err := w.Write(payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if r := <-res; r.err != nil || !bytes.Equal(r.data, payload) {
+		t.Fatalf("clean transfer: err=%v match=%v", r.err, bytes.Equal(r.data, payload))
 	}
 	if after := obs.Default.Histogram("stream.ack.rtt").Count(); after <= before {
 		t.Errorf("ack RTT histogram did not grow (%d -> %d)", before, after)

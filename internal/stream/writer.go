@@ -11,8 +11,7 @@ import (
 
 // WriterStats summarizes one streamed transfer from the sending side.
 type WriterStats struct {
-	// Chunks and Bytes count the logical stream (retransmissions under a
-	// Session are counted separately in SessionStats).
+	// Chunks and Bytes count the stream as produced.
 	Chunks int
 	Bytes  int64
 	// StallTime is how long the producer was blocked on the transmit
@@ -31,8 +30,7 @@ type WriterStats struct {
 // FIN, and blocks until the receiver confirms the whole stream.
 //
 // Writer assumes a reliable transport: a send failure or a receiver NACK
-// aborts the transfer. Session layers retransmission and reconnection on
-// top of the same protocol.
+// aborts the transfer, and nothing is retransmitted.
 type Writer struct {
 	cfg   Config
 	t     link.Transport
@@ -60,11 +58,9 @@ type Writer struct {
 	stats WriterStats
 }
 
-// chunkBufs recycles chunk payload buffers across transfers. Only the
-// plain Writer may use it: a chunk's payload dies once marshalData copies
-// it into the frame, so txLoop can recycle right after Send. A Session
-// must NOT pool its payloads — it retains transmitted chunks until the
-// receiver's acknowledgement watermark passes them, for rewind replay.
+// chunkBufs recycles chunk payload buffers across transfers. A chunk's
+// payload dies once marshalData copies it into the frame, so txLoop can
+// recycle right after Send.
 var chunkBufs = sync.Pool{New: func() any { return []byte(nil) }}
 
 func getChunkBuf(capacity int) []byte {
@@ -102,7 +98,18 @@ func (w *Writer) fail(err error) {
 	w.abortOnce.Do(func() { close(w.abort) })
 }
 
-// Err returns the first transfer error, if any.
+// reject records the receiver's NACK. The receiver drops the connection
+// right after sending it, so a send failure that raced the NACK into
+// w.err is a consequence of the rejection; the rejection replaces it as
+// the transfer's error.
+func (w *Writer) reject(seq uint32) {
+	w.mu.Lock()
+	w.err = fmt.Errorf("%w: receiver rejected the stream at chunk %d", ErrVerify, seq)
+	w.mu.Unlock()
+	w.abortOnce.Do(func() { close(w.abort) })
+}
+
+// Err returns the transfer error, if any.
 func (w *Writer) Err() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -156,9 +163,9 @@ func (w *Writer) txLoop() {
 	}
 }
 
-// recvLoop consumes receiver messages: acknowledgement watermarks (ignored
-// by the plain Writer beyond bookkeeping), NACKs (fatal without a
-// Session), and the final DONE.
+// recvLoop consumes receiver messages: acknowledgement watermarks (RTT
+// bookkeeping only), a NACK (the receiver rejected the stream), and the
+// final DONE.
 func (w *Writer) recvLoop() {
 	defer close(w.done)
 	for {
@@ -174,11 +181,11 @@ func (w *Writer) recvLoop() {
 		}
 		switch m.typ {
 		case msgAck:
-			// Plain writers bound memory by the send queue alone; the
-			// watermark still times the chunks it passes.
+			// The writer bounds memory by the send queue alone; the
+			// watermark only times the chunks it passes.
 			w.noteAcked(m.seq, false)
 		case msgNack:
-			w.fail(fmt.Errorf("stream: receiver rejected chunk %d and no session to rewind", m.seq))
+			w.reject(m.seq)
 			return
 		case msgDone:
 			// The receiver only sends DONE after verifying the FIN
@@ -244,7 +251,7 @@ func (w *Writer) cut() error {
 }
 
 // Close flushes the tail chunk, transmits FIN, and waits for the
-// receiver's DONE. It reports the first error of the whole transfer.
+// receiver's DONE. It reports the error of the whole transfer.
 func (w *Writer) Close() error {
 	if len(w.buf) > 0 && w.Err() == nil {
 		w.cut() // on failure the error is reported below
